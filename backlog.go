@@ -180,10 +180,10 @@
 //     manifest write — orders of magnitude less I/O than a merge.
 //
 // Snapshot lifecycle operations (create/delete snapshot, clone, line)
-// live on the Lifecycle interface returned by DB.Catalog; the equivalent
-// methods on DB are deprecated wrappers. Note that expiry is permanent in
-// the same sense as the paper's snapshot deletion: re-creating a snapshot
-// at an old version after its records expired does not resurrect them.
+// live on the Lifecycle interface returned by DB.Catalog. Note that expiry
+// is permanent in the same sense as the paper's snapshot deletion:
+// re-creating a snapshot at an old version after its records expired does
+// not resurrect them.
 //
 // # Compression
 //
@@ -1009,41 +1009,6 @@ type CompressionEstimate = core.CompressionEstimate
 func (db *DB) EstimateCompression(table string) (CompressionEstimate, error) {
 	return db.eng.EstimateCompression(table)
 }
-
-// CreateSnapshot retains version v (a CP number) of the given line.
-//
-// Deprecated: use Catalog().CreateSnapshot.
-func (db *DB) CreateSnapshot(line, v uint64) error { return db.cat.CreateSnapshot(line, v) }
-
-// DeleteSnapshot removes a snapshot; if it has clones it is kept as a
-// zombie until they disappear.
-//
-// Deprecated: use Catalog().DeleteSnapshot.
-func (db *DB) DeleteSnapshot(line, v uint64) error { return db.cat.DeleteSnapshot(line, v) }
-
-// CreateClone registers writable line newLine as a clone of (parent,
-// base). The clone's references are represented implicitly; no records are
-// written.
-//
-// Deprecated: use Catalog().CreateClone.
-func (db *DB) CreateClone(newLine, parent, base uint64) error {
-	return db.cat.CreateClone(newLine, parent, base)
-}
-
-// DeleteLine destroys a line's live file system.
-//
-// Deprecated: use Catalog().DeleteLine.
-func (db *DB) DeleteLine(line uint64) error { return db.cat.DeleteLine(line) }
-
-// Snapshots lists the retained snapshot versions of a line.
-//
-// Deprecated: use Catalog().Snapshots.
-func (db *DB) Snapshots(line uint64) []uint64 { return db.cat.Snapshots(line) }
-
-// Lines lists all known snapshot lines.
-//
-// Deprecated: use Catalog().Lines.
-func (db *DB) Lines() []uint64 { return db.cat.Lines() }
 
 // CP returns the last durable consistency point.
 func (db *DB) CP() uint64 { return db.eng.CP() }

@@ -32,7 +32,7 @@ func TestBasicLifecycle(t *testing.T) {
 	if err := db.Checkpoint(4); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateSnapshot(0, 4); err != nil {
+	if err := db.Catalog().CreateSnapshot(0, 4); err != nil {
 		t.Fatal(err)
 	}
 	db.RemoveRef(Ref{Block: 101, Inode: 2, Offset: 1, Line: 0}, 7)
@@ -69,7 +69,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err := db.Checkpoint(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateSnapshot(0, 1); err != nil {
+	if err := db.Catalog().CreateSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Compact(); err != nil { // persists the catalog too
@@ -91,7 +91,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if len(owners) != 1 || !owners[0].Live {
 		t.Fatalf("owners after reopen = %+v", owners)
 	}
-	if snaps := db2.Snapshots(0); len(snaps) != 1 || snaps[0] != 1 {
+	if snaps := db2.Catalog().Snapshots(0); len(snaps) != 1 || snaps[0] != 1 {
 		t.Fatalf("snapshots after reopen = %v", snaps)
 	}
 }
@@ -103,10 +103,10 @@ func TestCloneAndInheritance(t *testing.T) {
 	if err := db.Checkpoint(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateSnapshot(0, 2); err != nil {
+	if err := db.Catalog().CreateSnapshot(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateClone(1, 0, 2); err != nil {
+	if err := db.Catalog().CreateClone(1, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	owners, err := db.Query(77)
@@ -119,10 +119,10 @@ func TestCloneAndInheritance(t *testing.T) {
 	if !owners[1].Inherited || owners[1].Line != 1 {
 		t.Fatalf("clone owner = %+v", owners[1])
 	}
-	if lines := db.Lines(); len(lines) != 2 {
+	if lines := db.Catalog().Lines(); len(lines) != 2 {
 		t.Fatalf("lines = %v", lines)
 	}
-	if err := db.DeleteLine(1); err != nil {
+	if err := db.Catalog().DeleteLine(1); err != nil {
 		t.Fatal(err)
 	}
 	owners, err = db.Query(77)
@@ -251,7 +251,7 @@ func TestCompactKeepsAnswers(t *testing.T) {
 	if err := db.Checkpoint(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateSnapshot(0, 1); err != nil {
+	if err := db.Catalog().CreateSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	db.RemoveRef(Ref{Block: 50, Inode: 4, Offset: 2, Line: 0}, 3)
@@ -273,7 +273,7 @@ func TestCompactKeepsAnswers(t *testing.T) {
 		t.Fatalf("compaction changed answers: %+v vs %+v", before, after)
 	}
 	// Delete the snapshot and compact again: the record is purged.
-	if err := db.DeleteSnapshot(0, 1); err != nil {
+	if err := db.Catalog().DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Compact(); err != nil {
@@ -319,8 +319,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestCatalogLifecycle drives every Lifecycle method through db.Catalog()
-// and checks the deprecated DB wrappers stay views of the same state.
+// TestCatalogLifecycle drives every Lifecycle method through db.Catalog().
 func TestCatalogLifecycle(t *testing.T) {
 	db := openMem(t)
 	defer db.Close()
@@ -341,13 +340,6 @@ func TestCatalogLifecycle(t *testing.T) {
 	}
 	if snaps := cat.Snapshots(0); len(snaps) != 1 || snaps[0] != 2 {
 		t.Fatalf("Snapshots(0) = %v", snaps)
-	}
-	// The deprecated wrappers read the same catalog.
-	if snaps := db.Snapshots(0); len(snaps) != 1 || snaps[0] != 2 {
-		t.Fatalf("deprecated Snapshots(0) = %v", snaps)
-	}
-	if lines := db.Lines(); len(lines) != 2 {
-		t.Fatalf("deprecated Lines = %v", lines)
 	}
 	if err := cat.DeleteLine(1); err != nil {
 		t.Fatal(err)

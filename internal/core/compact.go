@@ -10,11 +10,11 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// compactRetries is how many optimistic lock-free merge attempts
-// compactPartition makes before falling back to holding the structural
-// lock exclusively for the whole merge — the pessimistic mode cannot
-// conflict, so every compaction eventually makes progress even under a
-// constant stream of checkpoints and relocations.
+// compactRetries is how many optimistic lock-free attempts a full job
+// makes before falling back to holding the structural lock exclusively
+// for the whole merge — the pessimistic mode cannot conflict, so every
+// compaction eventually makes progress even under a constant stream of
+// checkpoints and relocations.
 const compactRetries = 4
 
 // Compact runs database maintenance on every partition (Section 5.2): it
@@ -58,29 +58,28 @@ func (e *Engine) CompactTiered() error {
 func (e *Engine) compactAll(tiered bool) error {
 	var errs []error
 	for p := 0; p < e.db.Partitions(); p++ {
-		compacted, err := e.compactPartitionMode(p, tiered)
-		if err != nil {
+		if err := e.compactFull(p, tiered); err != nil {
 			errs = append(errs, fmt.Errorf("core: compacting partition %d: %w", p, err))
-			continue
-		}
-		if compacted {
-			e.stats.compactions.Add(1)
 		}
 	}
 	return errors.Join(errs...)
 }
 
 // CompactPartition compacts a single partition; partitions can be
-// maintained selectively and independently (Section 5.3).
+// maintained selectively and independently (Section 5.3). Like Compact,
+// it merges in tiered mode under Options.Retention == RetainLive.
 func (e *Engine) CompactPartition(p int) error {
-	compacted, err := e.compactPartitionMode(p, false)
-	if err != nil {
-		return err
-	}
-	if compacted {
+	return e.compactFull(p, e.expiryEnabled())
+}
+
+// compactFull runs a Full job on partition p and counts it in
+// Stats.Compactions when it installed a merge.
+func (e *Engine) compactFull(p int, tiered bool) error {
+	installed, err := e.compactJob(CompactionJob{Partition: p, Full: true}, tiered)
+	if installed {
 		e.stats.compactions.Add(1)
 	}
-	return nil
+	return err
 }
 
 // dvDirty reports whether any table carries unpersisted deletion-vector
@@ -102,62 +101,63 @@ type groupRecs struct {
 	combineds []interval
 }
 
-// compactPartition merges all runs of partition p into at most one From
-// and one Combined run. The k-way merge and run building happen against a
-// pinned view with no structural lock held, so updates and queries proceed
-// during the bulk of the work; the lock is taken exclusively only to
-// validate that the partition's run set is unchanged and atomically
-// install the manifest edit. A conflicting checkpoint, relocation, or
-// concurrent compaction makes the attempt retry against a fresh view,
-// and after compactRetries conflicts the merge falls back to running
-// entirely under the exclusive lock.
-func (e *Engine) compactPartitionMode(p int, tiered bool) (bool, error) {
+// isSealed reports whether a Combined run is sealed: already compacted
+// (level >= 1), with a trustworthy CP window, and free of override
+// records. Tiered compaction never re-merges a sealed run — re-merging
+// would union its window with newer records and push the result's MaxCP
+// past the horizon forever, so nothing would ever expire.
+func isSealed(r *lsm.Run) bool {
+	return r.Level() >= 1 && r.CPWindowKnown() && r.Overrides() == 0
+}
+
+// compactJob executes one CompactionJob and reports whether it installed
+// a merge. The k-way merge and run building happen against a pinned view
+// with no structural lock held, so updates and queries proceed during the
+// bulk of the work; the lock is taken exclusively only to validate the
+// inputs and atomically install the manifest edit. tiered selects
+// CP-tiered mode (see CompactTiered): sealed Combined runs stay out of a
+// Full job, and override records go to a run of their own.
+//
+// A Full job that meets a conflicting checkpoint, relocation, or
+// concurrent compaction retries against a fresh view, and after
+// compactRetries conflicts falls back to running entirely under the
+// exclusive lock. A leveled job that is stale (an input run was consumed
+// since planning), deferred (dirty deletion vector), or conflicting
+// returns installed=false instead, so the scheduler re-plans rather than
+// retrying the same job.
+func (e *Engine) compactJob(job CompactionJob, tiered bool) (bool, error) {
 	if o := e.obs; o != nil {
 		// Trace events reuse the Shard field for the partition — the
 		// closest analogue of "which slice of the keyspace" for a
 		// compaction.
-		start := o.opStart(obs.OpCompact, p, 0, 0)
-		compacted, err := e.compactPartitionLoop(p, tiered)
-		o.opEnd(obs.OpCompact, p, 0, 0, start, o.compact, err)
-		return compacted, err
+		start := o.opStart(obs.OpCompact, job.Partition, 0, 0)
+		installed, err := e.compactJobLoop(job, tiered)
+		o.opEnd(obs.OpCompact, job.Partition, 0, 0, start, o.compact, err)
+		return installed, err
 	}
-	return e.compactPartitionLoop(p, tiered)
+	return e.compactJobLoop(job, tiered)
 }
 
-func (e *Engine) compactPartitionLoop(p int, tiered bool) (bool, error) {
+func (e *Engine) compactJobLoop(job CompactionJob, tiered bool) (bool, error) {
 	for attempt := 0; ; attempt++ {
-		compacted, installed, err := e.compactAttempt(p, attempt >= compactRetries, tiered)
-		if err != nil || installed {
-			return compacted, err
+		exclusive := job.Full && attempt >= compactRetries
+		installed, conflict, err := e.attemptJob(job, tiered, exclusive)
+		if err != nil || !conflict || !job.Full {
+			return installed, err
 		}
-		e.stats.compactConflicts.Add(1)
 	}
 }
 
-// sealedBelow selects the sealed Combined runs of a tiered merge: already
-// compacted (level >= 1), trustworthy CP window, and free of override
-// records. Tiered compaction never re-merges them — re-merging would union
-// their windows with newer records and push the result's MaxCP past the
-// horizon forever, so nothing would ever expire.
-func sealedBelow(runs []*lsm.Run) []*lsm.Run {
-	var sealed []*lsm.Run
-	for _, r := range runs {
-		if r.Level() >= 1 && r.CPWindowKnown() && r.Overrides() == 0 {
-			sealed = append(sealed, r)
-		}
-	}
-	return sealed
-}
-
-// compactAttempt performs one merge-and-install attempt. With
+// attemptJob performs one merge-and-install attempt of job. With
 // exclusive=false the structural lock is held only to pin the view and,
-// later, to validate + install; installed=false then signals a conflict
-// the caller should retry. With exclusive=true the checkpoint
+// later, to validate + install; conflict=true then reports that the
+// inputs moved under the merge. With exclusive=true the checkpoint
 // single-flight guard is taken first — so the merge cannot interleave
 // with the window in which a checkpoint's write stores are frozen but its
 // runs are uninstalled — and the structural lock is then held throughout,
-// so validation is unnecessary and the attempt always installs.
-func (e *Engine) compactAttempt(p int, exclusive, tiered bool) (compacted, installed bool, err error) {
+// so validation is unnecessary and the attempt cannot conflict.
+func (e *Engine) attemptJob(job CompactionJob, tiered, exclusive bool) (installed, conflict bool, err error) {
+	p := job.Partition
 	if exclusive {
 		e.cpMu.Lock()
 		defer e.cpMu.Unlock()
@@ -181,7 +181,7 @@ func (e *Engine) compactAttempt(p int, exclusive, tiered bool) (compacted, insta
 		} else {
 			e.mu.RUnlock()
 		}
-		return false, true, nil
+		return false, false, nil
 	}
 	v := e.db.AcquireView()
 	if !exclusive {
@@ -194,102 +194,99 @@ func (e *Engine) compactAttempt(p int, exclusive, tiered bool) (compacted, insta
 		v.Release()
 	}()
 
-	vFrom := v.Runs(TableFrom, p)
-	vTo := v.Runs(TableTo, p)
-	vComb := v.Runs(TableCombined, p)
-	// Tiered mode leaves sealed Combined runs out of the merge (see
-	// sealedBelow); only the remainder — Level-0 runs and the override
-	// run — is read and rewritten.
-	mergeComb := vComb
-	var sealed []*lsm.Run
-	if tiered {
-		sealed = sealedBelow(vComb)
-		if len(sealed) > 0 {
-			mergeComb = make([]*lsm.Run, 0, len(vComb)-len(sealed))
-			for _, r := range vComb {
-				if r.Level() >= 1 && r.CPWindowKnown() && r.Overrides() == 0 {
-					continue
+	if job.Full {
+		// A Full job merges the partition as this view pins it: every From
+		// and To run, and every Combined run but the sealed ones in tiered
+		// mode, into level 1.
+		job.From, job.To, job.Combined = v.Runs(TableFrom, p), v.Runs(TableTo, p), v.Runs(TableCombined, p)
+		if tiered {
+			var unsealed []*lsm.Run
+			for _, r := range job.Combined {
+				if !isSealed(r) {
+					unsealed = append(unsealed, r)
 				}
-				mergeComb = append(mergeComb, r)
 			}
+			job.Combined = unsealed
 		}
+		job.OutputLevel = 1
+		if len(job.From) == 0 && len(job.To) == 0 && len(job.Combined) <= 1 {
+			// Nothing to merge; at most the single compacted Combined run (in
+			// tiered mode, possibly plus sealed runs awaiting expiry).
+			return false, false, nil
+		}
+	} else if !viewHasRuns(v, TableFrom, p, job.From) ||
+		!viewHasRuns(v, TableTo, p, job.To) ||
+		!viewHasRuns(v, TableCombined, p, job.Combined) {
+		// The job was planned against an earlier, already-released view;
+		// its run pointers are only safe to read while live in this one.
+		return false, false, nil
 	}
-	if len(vFrom) == 0 && len(vTo) == 0 && len(mergeComb) <= 1 {
-		// Nothing to merge; at most the single compacted Combined run (in
-		// tiered mode, possibly plus sealed runs awaiting expiry).
-		return false, true, nil
-	}
+	tables := [3]string{TableFrom, TableTo, TableCombined}
+	inputs := [3][]*lsm.Run{job.From, job.To, job.Combined}
 
-	fromIt, err := v.MergedIter(TableFrom, p)
-	if err != nil {
-		return false, true, err
-	}
-	toIt, err := v.MergedIter(TableTo, p)
-	if err != nil {
-		return false, true, err
-	}
-	combIt, err := v.MergedIterOf(TableCombined, mergeComb)
-	if err != nil {
-		return false, true, err
-	}
-
-	fs := &recStream{it: fromIt}
-	ts := &recStream{it: toIt}
-	cs := &recStream{it: combIt}
-	if err := fs.advance(); err != nil {
-		return false, true, err
-	}
-	if err := ts.advance(); err != nil {
-		return false, true, err
-	}
-	if err := cs.advance(); err != nil {
-		return false, true, err
-	}
-
-	newFrom, err := e.db.NewRunBuilder(TableFrom, p, 1, v.CP(), storage.SrcCompaction)
-	if err != nil {
-		return false, true, err
-	}
-	newComb, err := e.db.NewRunBuilder(TableCombined, p, 1, v.CP(), storage.SrcCompaction)
-	if err != nil {
-		newFrom.Abort()
-		return false, true, err
-	}
-	// Tiered mode writes surviving override records to a run of their own:
-	// overrides must outlive their line's snapshots, so mixing them into
-	// the regular output would poison its droppability. The override run
-	// (Overrides > 0) is re-merged on every tiered pass, which is also what
-	// purges overrides once their line is fully gone.
-	var newOver *lsm.RunBuilder
-	if tiered {
-		newOver, err = e.db.NewRunBuilder(TableCombined, p, 1, v.CP(), storage.SrcCompaction)
+	var streams [3]*recStream
+	for i, table := range tables {
+		it, err := v.MergedIterOf(table, inputs[i])
 		if err != nil {
-			newFrom.Abort()
-			newComb.Abort()
-			return false, true, err
+			return false, false, err
+		}
+		streams[i] = &recStream{it: it}
+	}
+	for _, s := range streams {
+		if err := s.advance(); err != nil {
+			return false, false, err
 		}
 	}
+
+	// Builders open in the order From, [To], Combined, [override]: each
+	// allocates a file ID, so the order fixes every output's name. A Full
+	// job's join is final and emits no To records, so it opens no To
+	// builder. Tiered mode writes surviving override records to a run of
+	// their own: overrides must outlive their line's snapshots, so mixing
+	// them into the regular output would poison its droppability. The
+	// override run (Overrides > 0) is re-merged on every tiered pass, which
+	// is also what purges overrides once their line is fully gone.
+	var builders []*lsm.RunBuilder
 	abort := func(err error) (bool, bool, error) {
-		newFrom.Abort()
-		newComb.Abort()
-		if newOver != nil {
-			newOver.Abort()
+		for _, b := range builders {
+			b.Abort()
 		}
-		return false, true, err
+		return false, false, err
+	}
+	open := func(table string) (*lsm.RunBuilder, error) {
+		b, err := e.db.NewRunBuilder(table, p, job.OutputLevel, v.CP(), storage.SrcCompaction)
+		if err == nil {
+			builders = append(builders, b)
+		}
+		return b, err
+	}
+	var newTo, newComb, newOver *lsm.RunBuilder
+	newFrom, err := open(TableFrom)
+	if err == nil && !job.Full {
+		newTo, err = open(TableTo)
+	}
+	if err == nil {
+		newComb, err = open(TableCombined)
+	}
+	if err == nil && tiered {
+		newOver, err = open(TableCombined)
+	}
+	if err != nil {
+		return abort(err)
 	}
 
 	// Purged records are counted locally and added to the stats only once
 	// the attempt installs, so conflict retries do not double-count.
 	var purged uint64
 	for {
-		g, ok, err := nextGroup(fs, ts, cs)
+		g, ok, err := nextGroup(streams[0], streams[1], streams[2])
 		if err != nil {
 			return abort(err)
 		}
 		if !ok {
 			break
 		}
-		if err := e.emitGroup(g, newFrom, newComb, newOver, &purged); err != nil {
+		if err := e.emitGroup(g, job.Full, newFrom, newTo, newComb, newOver, &purged); err != nil {
 			return abort(err)
 		}
 	}
@@ -297,36 +294,18 @@ func (e *Engine) compactAttempt(p int, exclusive, tiered bool) (compacted, insta
 	// Finish the run files (bloom + header + sync) before taking the
 	// lock: file I/O stays out of the critical section.
 	var added []lsm.RunRef
-	if ref, ok, err := newFrom.Finish(); err != nil {
-		newFrom.Abort()
-		newComb.Abort()
-		if newOver != nil {
-			newOver.Abort()
-		}
-		return false, true, err
-	} else if ok {
-		added = append(added, ref)
-	}
-	if ref, ok, err := newComb.Finish(); err != nil {
-		newComb.Abort()
-		if newOver != nil {
-			newOver.Abort()
-		}
-		for _, r := range added {
-			e.db.DiscardRun(r)
-		}
-		return false, true, err
-	} else if ok {
-		added = append(added, ref)
-	}
-	if newOver != nil {
-		if ref, ok, err := newOver.Finish(); err != nil {
-			newOver.Abort()
+	for i, b := range builders {
+		ref, ok, err := b.Finish()
+		if err != nil {
+			for _, rest := range builders[i:] {
+				rest.Abort()
+			}
 			for _, r := range added {
 				e.db.DiscardRun(r)
 			}
-			return false, true, err
-		} else if ok {
+			return false, false, err
+		}
+		if ok {
 			added = append(added, ref)
 		}
 	}
@@ -334,66 +313,86 @@ func (e *Engine) compactAttempt(p int, exclusive, tiered bool) (compacted, insta
 	if !exclusive {
 		e.mu.Lock()
 		locked = true
-		if !(v.Unchanged(TableFrom, p) && v.Unchanged(TableTo, p) && v.Unchanged(TableCombined, p)) {
-			// The partition's run set or a deletion vector moved under the
-			// merge: the built runs describe a stale state. Discard them
-			// and retry against a fresh view.
+		// A Full job's inputs are the whole partition, so any change to its
+		// run set invalidates the merge. A leveled job tolerates runs added
+		// outside its inputs (a checkpoint's level-0 flush).
+		for i, table := range tables {
+			if (job.Full && v.Unchanged(table, p)) || (!job.Full && v.UnchangedRuns(table, p, inputs[i])) {
+				continue
+			}
+			// An input run or a deletion vector moved under the merge: the
+			// built runs describe a stale state. Discard them.
 			for _, r := range added {
 				e.db.DiscardRun(r)
 			}
-			return false, false, nil
+			e.stats.compactConflicts.Add(1)
+			return false, true, nil
 		}
 	}
 
-	// Install. The view's run lists equal the live ones (validated above,
-	// or the lock was held throughout), so dropping the view's runs drops
-	// exactly the partition's live runs.
+	// Install. The inputs are still live (validated above, or the lock was
+	// held throughout). Deletion-vector entries whose records lived in the
+	// inputs were consumed by the merge (the outputs are DV-filtered);
+	// entries that may target a run outside the job — a sealed run, or a
+	// level the job did not touch — must survive. dvGen was validated, so
+	// every entry targets a run the view knows about.
 	edit := e.db.NewEdit().SetSource(storage.SrcCompaction)
 	for _, ref := range added {
 		edit.AddRun(ref)
 	}
-	fromTbl := e.db.Table(TableFrom)
-	toTbl := e.db.Table(TableTo)
-	combTbl := e.db.Table(TableCombined)
-	for _, r := range vFrom {
-		edit.DropRun(TableFrom, r.Name())
-	}
-	for _, r := range vTo {
-		edit.DropRun(TableTo, r.Name())
-	}
-	for _, r := range mergeComb {
-		edit.DropRun(TableCombined, r.Name())
-	}
-	clearedFrom := fromTbl.ClearDVPartition(p)
-	clearedTo := toTbl.ClearDVPartition(p)
-	// Sealed runs were not rewritten, so deletion-vector entries whose
-	// records may live in them must survive the clear; entries outside
-	// every sealed run's block range paired only with rewritten runs.
-	var keepDV func(block uint64) bool
-	if len(sealed) > 0 {
-		keepDV = func(block uint64) bool {
-			for _, r := range sealed {
-				if block >= r.MinBlock() && block <= r.MaxBlock() {
-					return true
-				}
-			}
-			return false
+	var cleared [3][]string
+	for i, table := range tables {
+		for _, r := range inputs[i] {
+			edit.DropRun(table, r.Name())
 		}
+		cleared[i] = e.db.Table(table).ClearDVPartitionKeep(p, keepOutside(v.Runs(table, p), inputs[i]))
+		edit.FlushDV(table)
 	}
-	clearedComb := combTbl.ClearDVPartitionKeep(p, keepDV)
-	edit.FlushDV(TableFrom).FlushDV(TableTo).FlushDV(TableCombined)
 	if err := edit.Commit(); err != nil {
 		// The commit did not land (a failed Commit removes its added run
 		// files itself): the old runs are still live, so the deletion
 		// vectors that hide their dead records must come back.
-		fromTbl.RestoreDV(clearedFrom)
-		toTbl.RestoreDV(clearedTo)
-		combTbl.RestoreDV(clearedComb)
-		return false, true, err
+		for i, table := range tables {
+			e.db.Table(table).RestoreDV(cleared[i])
+		}
+		return false, false, err
 	}
 	e.stats.recordsPurged.Add(purged)
 	e.stats.compactWriteBytes.Add(addedBytes(added))
-	return true, true, nil
+	return true, false, nil
+}
+
+// keepOutside returns the deletion-vector keep predicate for a merge of
+// inputs out of a partition's runs: true for blocks inside the range of
+// some run the merge did not rewrite. It is nil when the merge consumed
+// every run.
+func keepOutside(runs, inputs []*lsm.Run) func(block uint64) bool {
+	var others []*lsm.Run
+	for _, r := range runs {
+		if !containsRun(inputs, r) {
+			others = append(others, r)
+		}
+	}
+	if len(others) == 0 {
+		return nil
+	}
+	return func(block uint64) bool {
+		for _, r := range others {
+			if block >= r.MinBlock() && block <= r.MaxBlock() {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+func containsRun(runs []*lsm.Run, r *lsm.Run) bool {
+	for _, x := range runs {
+		if x == r {
+			return true
+		}
+	}
+	return false
 }
 
 // addedBytes sums the physical size of freshly installed compaction
@@ -413,370 +412,83 @@ func addedBytes(added []lsm.RunRef) uint64 {
 func viewHasRuns(v *lsm.View, table string, p int, inputs []*lsm.Run) bool {
 	live := v.Runs(table, p)
 	for _, in := range inputs {
-		found := false
-		for _, r := range live {
-			if r == in {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !containsRun(live, in) {
 			return false
 		}
 	}
 	return true
 }
 
-// compactJob executes one leveled merge planned by a CompactionPolicy.
-// It returns installed=false when the job is stale (an input run was
-// consumed by a checkpoint, expiry, or another merge since planning) or
-// deferred (dirty deletion vector); the scheduler then re-plans instead
-// of retrying the same job.
-func (e *Engine) compactJob(job CompactionJob) (bool, error) {
-	if o := e.obs; o != nil {
-		start := o.opStart(obs.OpCompact, job.Partition, 0, 0)
-		installed, err := e.compactJobAttempt(job)
-		o.opEnd(obs.OpCompact, job.Partition, 0, 0, start, o.compact, err)
-		return installed, err
-	}
-	return e.compactJobAttempt(job)
-}
-
-func (e *Engine) compactJobAttempt(job CompactionJob) (installed bool, err error) {
-	p := job.Partition
-	e.mu.RLock()
-	// Dirty deletion vectors defer job merges for the same reason they
-	// defer full ones (see compactAttempt): purging records hidden by
-	// unpersisted entries would make their destruction durable before the
-	// re-keyed replacements are.
-	if e.dvDirty() {
-		e.mu.RUnlock()
-		return false, nil
-	}
-	v := e.db.AcquireView()
-	e.mu.RUnlock()
-	locked := false
-	defer func() {
-		if locked {
-			e.mu.Unlock()
-		}
-		v.Release()
-	}()
-
-	// The job was planned against an earlier, already-released view; its
-	// run pointers are only safe to read while live in this fresh one.
-	if !viewHasRuns(v, TableFrom, p, job.From) ||
-		!viewHasRuns(v, TableTo, p, job.To) ||
-		!viewHasRuns(v, TableCombined, p, job.Combined) {
-		return false, nil
-	}
-
-	fromIt, err := v.MergedIterOf(TableFrom, job.From)
-	if err != nil {
-		return false, err
-	}
-	toIt, err := v.MergedIterOf(TableTo, job.To)
-	if err != nil {
-		return false, err
-	}
-	combIt, err := v.MergedIterOf(TableCombined, job.Combined)
-	if err != nil {
-		return false, err
-	}
-	fs := &recStream{it: fromIt}
-	ts := &recStream{it: toIt}
-	cs := &recStream{it: combIt}
-	for _, s := range []*recStream{fs, ts, cs} {
-		if err := s.advance(); err != nil {
-			return false, err
-		}
-	}
-
-	newFrom, err := e.db.NewRunBuilder(TableFrom, p, job.OutputLevel, v.CP(), storage.SrcCompaction)
-	if err != nil {
-		return false, err
-	}
-	newTo, err := e.db.NewRunBuilder(TableTo, p, job.OutputLevel, v.CP(), storage.SrcCompaction)
-	if err != nil {
-		newFrom.Abort()
-		return false, err
-	}
-	newComb, err := e.db.NewRunBuilder(TableCombined, p, job.OutputLevel, v.CP(), storage.SrcCompaction)
-	if err != nil {
-		newFrom.Abort()
-		newTo.Abort()
-		return false, err
-	}
-	// As in tiered full compaction, surviving override records go to a
-	// run of their own so the regular Combined output stays sealed. A
-	// leveled merge never synthesizes overrides, so the builder finishes
-	// empty (and writes no run) unless an input carried them.
-	var newOver *lsm.RunBuilder
-	if e.expiryEnabled() {
-		newOver, err = e.db.NewRunBuilder(TableCombined, p, job.OutputLevel, v.CP(), storage.SrcCompaction)
-		if err != nil {
-			newFrom.Abort()
-			newTo.Abort()
-			newComb.Abort()
-			return false, err
-		}
-	}
-	builders := func() []*lsm.RunBuilder {
-		bs := []*lsm.RunBuilder{newFrom, newTo, newComb}
-		if newOver != nil {
-			bs = append(bs, newOver)
-		}
-		return bs
-	}()
-	abort := func(err error) (bool, error) {
-		for _, b := range builders {
-			b.Abort()
-		}
-		return false, err
-	}
-
-	var purged uint64
-	for {
-		g, ok, err := nextGroup(fs, ts, cs)
-		if err != nil {
-			return abort(err)
-		}
-		if !ok {
-			break
-		}
-		if err := e.emitLeveledGroup(g, newFrom, newTo, newComb, newOver, &purged); err != nil {
-			return abort(err)
-		}
-	}
-
-	// Finish the run files before taking the lock, as in compactAttempt.
-	var added []lsm.RunRef
-	for i, b := range builders {
-		ref, ok, err := b.Finish()
-		if err != nil {
-			for _, later := range builders[i+1:] {
-				later.Abort()
-			}
-			for _, r := range added {
-				e.db.DiscardRun(r)
-			}
-			return false, err
-		}
-		if ok {
-			added = append(added, ref)
-		}
-	}
-
-	e.mu.Lock()
-	locked = true
-	if !(v.UnchangedRuns(TableFrom, p, job.From) &&
-		v.UnchangedRuns(TableTo, p, job.To) &&
-		v.UnchangedRuns(TableCombined, p, job.Combined)) {
-		// An input run or a deletion vector moved under the merge; the
-		// built runs describe a stale state. Unlike a full compaction,
-		// runs added outside the input set (a checkpoint's level-0 flush)
-		// do not invalidate the job.
-		for _, r := range added {
-			e.db.DiscardRun(r)
-		}
-		e.stats.compactConflicts.Add(1)
-		return false, nil
-	}
-
-	edit := e.db.NewEdit().SetSource(storage.SrcCompaction)
-	for _, ref := range added {
-		edit.AddRun(ref)
-	}
-	for _, r := range job.From {
-		edit.DropRun(TableFrom, r.Name())
-	}
-	for _, r := range job.To {
-		edit.DropRun(TableTo, r.Name())
-	}
-	for _, r := range job.Combined {
-		edit.DropRun(TableCombined, r.Name())
-	}
-	// Deletion-vector entries whose records lived in the input runs were
-	// consumed by the merge (the outputs are DV-filtered); entries that
-	// may target a run outside the job must survive. dvGen was validated
-	// above, so every entry targets a run the view knows about.
-	fromTbl := e.db.Table(TableFrom)
-	toTbl := e.db.Table(TableTo)
-	combTbl := e.db.Table(TableCombined)
-	keepOutside := func(table string, inputs []*lsm.Run) func(uint64) bool {
-		var others []*lsm.Run
-		for _, r := range v.Runs(table, p) {
-			in := false
-			for _, i := range inputs {
-				if r == i {
-					in = true
-					break
-				}
-			}
-			if !in {
-				others = append(others, r)
-			}
-		}
-		if len(others) == 0 {
-			return nil
-		}
-		return func(block uint64) bool {
-			for _, r := range others {
-				if block >= r.MinBlock() && block <= r.MaxBlock() {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	clearedFrom := fromTbl.ClearDVPartitionKeep(p, keepOutside(TableFrom, job.From))
-	clearedTo := toTbl.ClearDVPartitionKeep(p, keepOutside(TableTo, job.To))
-	clearedComb := combTbl.ClearDVPartitionKeep(p, keepOutside(TableCombined, job.Combined))
-	edit.FlushDV(TableFrom).FlushDV(TableTo).FlushDV(TableCombined)
-	if err := edit.Commit(); err != nil {
-		fromTbl.RestoreDV(clearedFrom)
-		toTbl.RestoreDV(clearedTo)
-		combTbl.RestoreDV(clearedComb)
-		return false, err
-	}
-	e.stats.recordsPurged.Add(purged)
-	e.stats.compactWriteBytes.Add(addedBytes(added))
-	return true, nil
-}
-
-// emitLeveledGroup writes one identity group of a leveled merge. Unlike
-// emitGroup it sees only the records held by the job's input runs, so it
-// joins a From with a To only when both ends are present — exactly the
-// pairs the global join would form, because a level merge always inputs
-// every run of its level and levels partition flush history into
-// contiguous, monotonically ordered segments — and carries unmatched
-// records verbatim to the output level. Synthesizing the inherited-
-// ownership interval the full join derives for an unmatched To, or
-// purging an unmatched From, would corrupt the eventual join with the
-// counterpart record still climbing the levels in another run.
-func (e *Engine) emitLeveledGroup(g groupRecs, newFrom, newTo, newComb, newOver *lsm.RunBuilder, purged *uint64) error {
+// emitGroup writes one identity group of a merge. Each To, ascending,
+// pairs with the earliest unused From <= it — joinGroup's rule; since Tos
+// are processed in order, that From is always froms[fi] — and a pair at
+// one CP cancels. Completed pairs and pre-joined Combined records are
+// globally correct, so the purge policy applies to them; surviving
+// override records (from == 0) go to newOver when it is non-nil (tiered
+// mode), keeping the regular Combined output sealed. Purged records are
+// tallied into *purged.
+//
+// Under fullJoin the group holds every record of its identity, so the
+// join is final: a lone To becomes the override interval {0, t} — the
+// inherited ownership it terminated — and a lone From is a still-live
+// reference, purge-checked into the From output. Otherwise (a leveled
+// job, which sees only its input runs) lone records are carried verbatim
+// to the output level: a level merge always inputs every run of its level
+// and levels partition flush history into contiguous, monotonically
+// ordered segments, so the pairs it forms are exactly those the full join
+// would, while synthesizing an override for a lone To or purging a lone
+// From would corrupt the eventual join with the counterpart record still
+// climbing the levels in another run.
+func (e *Engine) emitGroup(g groupRecs, fullJoin bool, newFrom, newTo, newComb, newOver *lsm.RunBuilder, purged *uint64) error {
 	line := g.id.Line
 	froms, tos := g.froms, g.tos
 	sort.Slice(froms, func(i, j int) bool { return froms[i] < froms[j] })
 	sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
 
-	// Greedy pairing with joinGroup's rule — each To, ascending, takes
-	// the earliest unused From <= it. Since Tos are processed in order,
-	// the earliest unused From is always froms[fi].
 	var complete []interval
 	var loneTos []uint64
 	fi := 0
 	for _, t := range tos {
-		if fi < len(froms) && froms[fi] <= t {
-			f := froms[fi]
-			fi++
-			if f == t {
-				// An add and remove at one CP cancel, as in joinGroup.
-				continue
+		switch {
+		case fi < len(froms) && froms[fi] <= t:
+			if froms[fi] < t {
+				complete = append(complete, interval{from: froms[fi], to: t})
 			}
-			complete = append(complete, interval{from: f, to: t})
-		} else {
+			fi++
+		case fullJoin:
+			complete = append(complete, interval{from: 0, to: t})
+		default:
 			loneTos = append(loneTos, t)
 		}
 	}
-	loneFroms := froms[fi:]
 
-	// Completed pairs and pre-joined Combined records are globally
-	// correct, so the full purge policy applies to them.
-	complete = dedupeIntervals(append(complete, g.combineds...))
-	for _, iv := range complete {
+	for _, iv := range dedupeIntervals(append(complete, g.combineds...)) {
 		if !e.keepInterval(line, iv.from, iv.to) {
 			*purged++
 			continue
 		}
-		rec := EncodeCombined(CombinedRec{
-			Ref:  Ref{Block: g.id.Block, Inode: g.id.Inode, Offset: g.id.Offset, Line: line, Length: g.id.Length},
-			From: iv.from, To: iv.to,
-		})
 		dst := newComb
 		if newOver != nil && iv.from == 0 {
 			dst = newOver
 		}
-		if err := dst.Add(rec); err != nil {
+		if err := dst.Add(EncodeCombined(CombinedRec{Ref: g.id, From: iv.from, To: iv.to})); err != nil {
 			return err
 		}
 	}
-	for _, f := range loneFroms {
-		rec := EncodeFrom(FromRec{
-			Ref:  Ref{Block: g.id.Block, Inode: g.id.Inode, Offset: g.id.Offset, Line: line, Length: g.id.Length},
-			From: f,
-		})
-		if err := newFrom.Add(rec); err != nil {
+	for _, f := range froms[fi:] {
+		if fullJoin && !e.keepInterval(line, f, Infinity) {
+			*purged++
+			continue
+		}
+		if err := newFrom.Add(EncodeFrom(FromRec{Ref: g.id, From: f})); err != nil {
 			return err
 		}
 	}
 	for _, t := range loneTos {
-		rec := EncodeTo(ToRec{
-			Ref: Ref{Block: g.id.Block, Inode: g.id.Inode, Offset: g.id.Offset, Line: line, Length: g.id.Length},
-			To:  t,
-		})
-		if err := newTo.Add(rec); err != nil {
+		if err := newTo.Add(EncodeTo(ToRec{Ref: g.id, To: t})); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// emitGroup joins one identity group, applies the purge policy, and writes
-// the surviving records. Purged records are tallied into *purged. When
-// newOver is non-nil (tiered mode), override records (from == 0) go to it
-// instead of newComb, so the regular Combined output stays free of
-// overrides and therefore sealed.
-func (e *Engine) emitGroup(g groupRecs, newFrom, newComb, newOver *lsm.RunBuilder, purged *uint64) error {
-	cat := e.catalog
-	line := g.id.Line
-
-	joined := joinGroup(g.froms, g.tos)
-
-	// Complete intervals from the join plus pre-existing Combined records.
-	var complete []interval
-	var incomplete []uint64 // from values of still-live references
-	for _, iv := range joined {
-		if iv.to == Infinity {
-			incomplete = append(incomplete, iv.from)
-		} else {
-			complete = append(complete, iv)
-		}
-	}
-	complete = dedupeIntervals(append(complete, g.combineds...))
-
-	for _, iv := range complete {
-		if !e.keepInterval(line, iv.from, iv.to) {
-			*purged++
-			continue
-		}
-		rec := EncodeCombined(CombinedRec{
-			Ref:  Ref{Block: g.id.Block, Inode: g.id.Inode, Offset: g.id.Offset, Line: line, Length: g.id.Length},
-			From: iv.from, To: iv.to,
-		})
-		dst := newComb
-		if newOver != nil && iv.from == 0 {
-			dst = newOver
-		}
-		if err := dst.Add(rec); err != nil {
-			return err
-		}
-	}
-	sort.Slice(incomplete, func(i, j int) bool { return incomplete[i] < incomplete[j] })
-	for _, f := range incomplete {
-		if !e.keepInterval(line, f, Infinity) {
-			*purged++
-			continue
-		}
-		rec := EncodeFrom(FromRec{
-			Ref:  Ref{Block: g.id.Block, Inode: g.id.Inode, Offset: g.id.Offset, Line: line, Length: g.id.Length},
-			From: f,
-		})
-		if err := newFrom.Add(rec); err != nil {
-			return err
-		}
-	}
-	_ = cat
 	return nil
 }
 

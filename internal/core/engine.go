@@ -317,9 +317,9 @@ type Engine struct {
 	frozenDel map[string]map[string]struct{}
 
 	// wal is the write-ahead log (nil in CheckpointOnly mode). Updaters
-	// append under the shared structural lock; Checkpoint truncates under
-	// the exclusive lock, which is what lets wal.Truncate assume no
-	// append is in flight.
+	// append under the shared structural lock; Checkpoint cuts the log
+	// under the exclusive lock, which is what lets wal.Cut assume no
+	// append is in flight, and retires the cut segments once it commits.
 	wal *wal.Log
 	// walReplayed counts records replayed at Open.
 	walReplayed uint64
@@ -1016,7 +1016,7 @@ func (e *Engine) checkpoint(cp uint64) error {
 	// WAL record is tagged past this CP and replays the whole
 	// transplantation against these very runs. Compaction cannot destroy
 	// them in the window: it defers whenever a deletion vector is dirty
-	// (see compactAttempt).
+	// (see attemptJob).
 	for table, dels := range e.frozenDel {
 		t := e.db.Table(table)
 		for rec := range dels {

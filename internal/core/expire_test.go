@@ -71,6 +71,52 @@ func sealedRuns(eng *core.Engine) []lsm.RunInfo {
 	return out
 }
 
+// TestCompactPartitionKeepsSealedRunsUnderRetainLive: selective
+// maintenance of one partition honours the retention policy exactly as
+// Compact does — under RetainLive it merges tiered, leaving every sealed
+// window in place for Expire instead of folding them into one run.
+func TestCompactPartitionKeepsSealedRunsUnderRetainLive(t *testing.T) {
+	cat := core.NewMemCatalog()
+	eng, err := core.Open(core.Options{VFS: storage.NewMemFS(), Catalog: cat, Retention: core.RetainLive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for e := uint64(0); e < 3; e++ {
+		snap := 2*e + 1
+		if err := cat.CreateSnapshot(0, snap); err != nil {
+			t.Fatal(err)
+		}
+		eng.AddRef(fref(10+e, 10+e, 0, 0), snap)
+		fCheckpoint(t, eng, snap)
+		eng.RemoveRef(fref(10+e, 10+e, 0, 0), snap+1)
+		fCheckpoint(t, eng, snap+1)
+		if err := eng.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := func() []string {
+		var out []string
+		for _, ri := range sealedRuns(eng) {
+			out = append(out, ri.Name)
+		}
+		return out
+	}
+	before := names()
+	if len(before) != 3 {
+		t.Fatalf("built %d sealed runs, want 3: %+v", len(before), eng.RunInfos())
+	}
+	// A fresh level-0 run gives the partition something to merge.
+	eng.AddRef(fref(50, 50, 0, 0), 7)
+	fCheckpoint(t, eng, 7)
+	if err := eng.CompactPartition(0); err != nil {
+		t.Fatal(err)
+	}
+	if after := names(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("CompactPartition re-merged sealed runs: before %v, after %v", before, after)
+	}
+}
+
 // TestExpireDropsRunsWithoutReadingData is the headline contract: once
 // the only snapshot covering a sealed run's window is deleted, Expire
 // removes the run in a single manifest edit — zero bytes of run data

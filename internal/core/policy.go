@@ -14,16 +14,20 @@ const DefaultFanout = 4
 // CompactionJob is one unit of maintenance work a CompactionPolicy asks
 // the scheduler to perform.
 //
-// Two shapes exist. A Full job (Full == true, run lists empty) is a
-// whole-partition merge-to-one executed by the classic compaction path —
-// the paper's Section 5.2 maintenance. A leveled job names its input runs
-// explicitly per table and the level its outputs are stamped with; the
-// scheduler merges exactly those runs and installs the outputs, leaving
-// every other run of the partition untouched.
+// Both shapes run through one executor. A Full job (Full == true, run
+// lists empty) is the paper's Section 5.2 maintenance of a whole
+// partition: the executor takes as inputs every From and To run and every
+// Combined run (less the sealed ones under tiered retention) of the view
+// it pins when the merge starts, joins From with To for good, and writes
+// at most one From and one Combined run at level 1. A leveled job names
+// its input runs explicitly per table and the level its outputs are
+// stamped with; the executor merges exactly those runs, carries records
+// whose counterpart lives outside them verbatim, and leaves every other
+// run of the partition untouched.
 type CompactionJob struct {
 	Partition int
-	// Full marks a whole-partition worst-first merge; OutputLevel and the
-	// input lists are ignored.
+	// Full marks a whole-partition merge; OutputLevel and the input lists
+	// are ignored.
 	Full bool
 	// OutputLevel is the level stamped on the merge outputs (one above
 	// the inputs for a stepped merge).
@@ -85,15 +89,22 @@ func (PolicyFull) Name() string { return "full" }
 // place for expiry, so counting them would keep the scheduler spinning on
 // a partition it cannot shrink.
 func (PolicyFull) Plan(v *lsm.View, ctx PlanContext) []CompactionJob {
-	worst, max := 0, 0
-	for p := 0; p < ctx.Partitions; p++ {
-		n := 0
-		for _, table := range []string{TableFrom, TableTo, TableCombined} {
-			for _, r := range v.Runs(table, p) {
-				if ctx.Tiered && table == TableCombined &&
-					r.Level() >= 1 && r.CPWindowKnown() && r.Overrides() == 0 {
-					continue
-				}
+	worst, max := mostCompactable(v, ctx.Partitions, ctx.Tiered)
+	if max <= ctx.Threshold {
+		return nil
+	}
+	return []CompactionJob{{Partition: worst, Full: true}}
+}
+
+// mostCompactable returns the partition with the most runs a Full job
+// would read, and that count. Under tiered retention sealed Combined runs
+// are not counted: a tiered partition steady-states at one From run plus
+// one override run plus any number of sealed runs awaiting expiry.
+func mostCompactable(v *lsm.View, partitions int, tiered bool) (worst, max int) {
+	for p := 0; p < partitions; p++ {
+		n := len(v.Runs(TableFrom, p)) + len(v.Runs(TableTo, p))
+		for _, r := range v.Runs(TableCombined, p) {
+			if !tiered || !isSealed(r) {
 				n++
 			}
 		}
@@ -101,10 +112,7 @@ func (PolicyFull) Plan(v *lsm.View, ctx PlanContext) []CompactionJob {
 			worst, max = p, n
 		}
 	}
-	if max <= ctx.Threshold {
-		return nil
-	}
-	return []CompactionJob{{Partition: worst, Full: true}}
+	return worst, max
 }
 
 // PolicyLeveled is stepped-merge maintenance (LogBase-style): when a

@@ -54,9 +54,9 @@ func compactionGolden() (string, error) {
 }
 
 // TestCompactionGolden pins the bytes the full, leveled and tiered merge
-// modes emit: testdata/compaction_golden.txt was recorded before the merge
-// executors were unified, and a refactor of the executor must reproduce it
-// exactly. A mismatch is a behaviour change, not a stale file.
+// modes emit. testdata/compaction_golden.txt is the reference output, and
+// a refactor of the compaction executor must reproduce it exactly: a
+// mismatch is a behaviour change, never a reason to regenerate the file.
 func TestCompactionGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/compaction_golden.txt")
 	if err != nil {

@@ -458,19 +458,6 @@ func (db *DB) RunCount() int {
 	return n
 }
 
-// PartitionRunCounts returns, for every partition, the total number of
-// live runs across all tables — the signal the background maintenance
-// scheduler watches to pick the partition most in need of compaction.
-func (db *DB) PartitionRunCounts() []int {
-	counts := make([]int, db.opts.Partitions)
-	for _, t := range db.tables {
-		for p, part := range t.runs {
-			counts[p] += len(part)
-		}
-	}
-	return counts
-}
-
 // PartitionLevelCounts returns, for every partition, the number of live
 // runs at each level summed across all tables (index [partition][level]).
 // Each row is sized to the deepest level present in its partition. The

@@ -189,9 +189,9 @@ func (v *View) CollectBlockPruned(table string, block, horizon uint64, visit fun
 }
 
 // MergedIterOf is MergedIter restricted to an explicit subset of the
-// view's pinned runs of one table — tiered compaction merges only the
-// runs that are not sealed below the reclaim horizon, leaving sealed
-// runs eligible for drop-based expiry.
+// view's pinned runs of one table — a compaction job's inputs: a leveled
+// merge reads one level, a tiered one leaves sealed runs out so they stay
+// eligible for drop-based expiry.
 func (v *View) MergedIterOf(table string, runs []*Run) (RecIter, error) {
 	tv := v.ver.tables[table]
 	return mergedIter(runs, tv.dv)

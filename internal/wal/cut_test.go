@@ -53,7 +53,7 @@ func TestCutRetireKeepsFlushConcurrentAppends(t *testing.T) {
 // TestCrashBetweenCutAndRetire verifies that a crash while the checkpoint
 // flush is still running loses nothing: the cut mark does not discard the
 // records before it (they are not yet durable in the read store), unlike
-// a Truncate-written checkpoint mark.
+// an OpCheckpoint mark.
 func TestCrashBetweenCutAndRetire(t *testing.T) {
 	vfs := storage.NewMemFS()
 	l, _ := mustOpen(t, vfs, Sync)
@@ -90,8 +90,8 @@ func TestCrashBetweenCutAndRetire(t *testing.T) {
 	}
 }
 
-// TestCutClearsFlushErrorAndPending mirrors the Truncate reset test: a
-// flush failure blocks appends until the next checkpoint's Cut rotates to
+// TestCutClearsFlushErrorAndPending: a flush failure blocks appends —
+// even once the fault is gone — until the next checkpoint's Cut rotates to
 // a fresh segment and resets the sticky state.
 func TestCutClearsFlushErrorAndPending(t *testing.T) {
 	vfs := storage.NewMemFS()
@@ -103,13 +103,19 @@ func TestCutClearsFlushErrorAndPending(t *testing.T) {
 	if err := l.Append(addRec(2)); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("append during failure plan: %v", err)
 	}
+	vfs.SetFailurePlan(storage.FailurePlan{})
 	if err := l.Append(addRec(3)); err == nil {
 		t.Fatal("sticky error did not gate appends")
 	}
-	vfs.SetFailurePlan(storage.FailurePlan{})
+	if l.Err() == nil {
+		t.Fatal("no sticky error")
+	}
 	cut, err := l.Cut(1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("sticky error survived Cut: %v", err)
 	}
 	if err := l.Append(addRec(4)); err != nil {
 		t.Fatalf("append after Cut reset: %v", err)

@@ -20,8 +20,9 @@ const (
 	// relocation will be flushed under.
 	OpRelocate Op = 3
 	// OpCheckpoint marks a committed consistency point: every record
-	// logged before the mark is durable in the read store. Truncate writes
-	// one at the head of each fresh segment.
+	// logged before the mark is durable in the read store. Checkpoints
+	// write OpCut instead; recovery honours OpCheckpoint because logs
+	// written by older versions carry it at the head of a segment.
 	OpCheckpoint Op = 4
 	// OpSegmentEnd seals a segment: recovery stops reading the segment at
 	// the mark, in any position. Open stamps one over a torn tail before
@@ -33,9 +34,9 @@ const (
 	// write stores. Unlike OpCheckpoint it promises nothing about
 	// durability — the checkpoint has not committed yet — so recovery
 	// keeps every record logged before it and replays records strictly by
-	// their CP tags. Its only structural role is the same one a
-	// Truncate-written OpCheckpoint plays: marking its segment as one that
-	// legitimately follows a retired (possibly torn) predecessor.
+	// their CP tags. Its only structural role is the same one a leading
+	// OpCheckpoint plays: marking its segment as one that legitimately
+	// follows a retired (possibly torn) predecessor.
 	OpCut Op = 6
 )
 

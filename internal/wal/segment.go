@@ -138,8 +138,8 @@ func recoverLog(vfs storage.VFS) (Recovered, tear, []uint64, error) {
 			// A torn tail in a non-final segment is normally corruption —
 			// except when the next segment opens with a checkpoint or cut
 			// mark: then the tear is a flush failure that preceded that
-			// Truncate/Cut (which is the only way appends resume after a
-			// failed flush), everything before the tear is intact, and
+			// Cut (which is the only way appends resume after a failed
+			// flush), everything before the tear is intact, and
 			// everything after it was never acknowledged. Records of such
 			// a segment replay subject to the usual CP filter.
 			ok, err := segmentStartsWithMark(vfs, segs[i+1])
@@ -155,9 +155,10 @@ func recoverLog(vfs storage.VFS) (Recovered, tear, []uint64, error) {
 }
 
 // segmentStartsWithMark reports whether a segment's first record is a
-// checkpoint or cut mark — the two record types that head segments opened
-// by Truncate and Cut respectively, and therefore the two that may
-// legitimately follow a retired (possibly torn) predecessor.
+// checkpoint or cut mark — the record types that head a segment opened at
+// a checkpoint (OpCut, or OpCheckpoint in logs written by older versions),
+// and therefore the two that may legitimately follow a retired (possibly
+// torn) predecessor.
 func segmentStartsWithMark(vfs storage.VFS, index uint64) (bool, error) {
 	f, err := vfs.Open(segmentName(index))
 	if err != nil {

@@ -121,7 +121,7 @@ type Stats struct {
 	Appends   uint64 // records appended
 	Batches   uint64 // physical flushes (group commits)
 	Segments  uint64 // segments created, including the initial one
-	Truncates uint64 // checkpoint truncations
+	Truncates uint64 // checkpoint retirements (successful Retire calls)
 	Bytes     int64  // record bytes appended
 }
 
@@ -140,7 +140,7 @@ type Log struct {
 	pending   []byte
 	flushing  bool
 	closed    bool
-	err       error // sticky flush error; cleared by Truncate
+	err       error // sticky flush error; cleared by Cut
 
 	seg      storage.File
 	segIndex uint64
@@ -162,7 +162,7 @@ type Log struct {
 // active segment for appending. Appends never extend a recovered segment:
 // its tail may be torn, and writing past a torn record would hide it from
 // the next recovery. Recovered segments are retired by the first
-// Truncate.
+// Cut + Retire.
 func Open(vfs storage.VFS, opts Options) (*Log, Recovered, error) {
 	if opts.Durability == CheckpointOnly {
 		return nil, Recovered{}, errors.New("wal: Open requires Buffered or Sync durability")
@@ -216,7 +216,7 @@ func (l *Log) startSegmentLocked(index uint64) error {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
 	// The index is burned even if a later step fails: a retry (the next
-	// Truncate) must allocate a fresh name, since Create is exclusive and
+	// Cut) must allocate a fresh name, since Create is exclusive and
 	// the best-effort Remove below may itself fail.
 	l.segIndex = index
 	fail := func(err error) error {
@@ -253,7 +253,7 @@ func (l *Log) startSegmentLocked(index uint64) error {
 // concurrent appenders. In Sync mode it returns once the record is
 // durable; in Buffered mode once the record is written to the segment
 // file. A non-nil error means the record's durability is unknown; the log
-// refuses further appends until Truncate resets it.
+// refuses further appends until Cut resets it.
 func (l *Log) Append(r Record) error {
 	if l.appendHist == nil {
 		return l.append(r)
@@ -436,67 +436,6 @@ func (l *Log) Retire(cut int) error {
 		}
 	}
 	l.names = append([]string(nil), l.names[cut:]...)
-	l.stats.Truncates++
-	return nil
-}
-
-// Truncate retires the log after a committed checkpoint: a fresh segment
-// opens with a checkpoint mark for cp, every older segment is deleted, and
-// any sticky flush error is cleared (the data whose logging failed is now
-// durable via the checkpoint itself). The caller must guarantee no Append
-// is in flight — it assumes the exclusive structural lock that excludes
-// all updaters. The engine's checkpoint path uses Cut + Retire instead,
-// which tolerates appends racing the flush; Truncate remains for callers
-// that quiesce appends across the whole checkpoint.
-func (l *Log) Truncate(cp uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.flushing {
-		l.cond.Wait()
-	}
-	if l.closed {
-		return ErrClosed
-	}
-	// Anything still pending was never acknowledged, and the checkpoint
-	// that triggered this truncation flushed the write stores it was
-	// applied to; drop it along with any sticky error.
-	l.err = nil
-	l.pending = nil
-	l.pendingRecs = 0
-	l.done = l.seq
-
-	// On any failure below, the old segment names are restored so the
-	// next successful Truncate still retires them; otherwise they would
-	// sit on disk untracked until the next Open's recovery scan.
-	old := append([]string(nil), l.names...)
-	l.names = nil
-	restore := func(err error) error {
-		l.names = append(old, l.names...)
-		l.err = err
-		return err
-	}
-	if err := l.startSegmentLocked(l.segIndex + 1); err != nil {
-		return restore(err)
-	}
-	frame := appendFrame(nil, Record{Op: OpCheckpoint, CP: cp})
-	if _, err := l.seg.WriteAt(frame, l.segSize); err != nil {
-		return restore(fmt.Errorf("wal: writing checkpoint mark: %w", err))
-	}
-	l.segSize += int64(len(frame))
-	if l.syncEach {
-		// Make the mark durable before deleting the segments it
-		// obsoletes; a crash in between leaves extra segments whose
-		// records replay as no-ops (their CPs precede the manifest's).
-		if err := l.seg.Sync(); err != nil {
-			return restore(fmt.Errorf("wal: syncing checkpoint mark: %w", err))
-		}
-	}
-	for i, name := range old {
-		if err := l.vfs.Remove(name); err != nil && !errors.Is(err, storage.ErrNotExist) {
-			old = old[i:] // keep the not-yet-removed tail tracked
-			return restore(err)
-		}
-	}
 	l.stats.Truncates++
 	return nil
 }

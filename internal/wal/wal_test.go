@@ -140,18 +140,22 @@ func TestTruncateRetiresSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Truncate(4); err != nil {
+	cut, err := l.Cut(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Retire(cut); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.SegmentCount(); got != 1 {
-		t.Fatalf("segments after truncate = %d, want 1", got)
+		t.Fatalf("segments after retire = %d, want 1", got)
 	}
 	segs, err := listSegments(vfs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(segs) != 1 {
-		t.Fatalf("segment files after truncate = %d, want 1", len(segs))
+		t.Fatalf("segment files after retire = %d, want 1", len(segs))
 	}
 	if err := l.Append(addRec(100)); err != nil {
 		t.Fatal(err)
@@ -163,11 +167,8 @@ func TestTruncateRetiresSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.MarkCP != 4 {
-		t.Fatalf("MarkCP = %d, want 4", rec.MarkCP)
-	}
 	if len(rec.Records) != 1 || rec.Records[0].Block != 100 {
-		t.Fatalf("post-mark records = %+v", rec.Records)
+		t.Fatalf("post-cut records = %+v", rec.Records)
 	}
 }
 
@@ -445,47 +446,6 @@ func TestCorruptMiddleSegmentIsAnError(t *testing.T) {
 	}
 }
 
-func TestAppendAfterFlushErrorAndTruncateReset(t *testing.T) {
-	vfs := storage.NewMemFS()
-	l, _ := mustOpen(t, vfs, Sync)
-	if err := l.Append(addRec(0)); err != nil {
-		t.Fatal(err)
-	}
-	st := vfs.Stats()
-	vfs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: st.PageWrites})
-	if err := l.Append(addRec(1)); err == nil {
-		t.Fatal("append succeeded despite injected write failure")
-	}
-	vfs.SetFailurePlan(storage.FailurePlan{})
-	if err := l.Append(addRec(2)); err == nil {
-		t.Fatal("append succeeded on a failed log")
-	}
-	if l.Err() == nil {
-		t.Fatal("no sticky error")
-	}
-	// A committed checkpoint makes the lost records durable elsewhere;
-	// Truncate resets the log for the next interval.
-	if err := l.Truncate(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(addRec(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(vfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Records) != 1 || rec.Records[0].Block != 3 {
-		t.Fatalf("records after reset = %+v", rec.Records)
-	}
-	if rec.MarkCP != 1 {
-		t.Fatalf("MarkCP = %d, want 1", rec.MarkCP)
-	}
-}
-
 func TestOpenReplaysAcrossReopen(t *testing.T) {
 	vfs := storage.NewMemFS()
 	l, _ := mustOpen(t, vfs, Sync)
@@ -497,7 +457,7 @@ func TestOpenReplaysAcrossReopen(t *testing.T) {
 	vfs.Crash()
 
 	// Reopen: recovery surfaces the three records, new appends land in a
-	// fresh segment, and both generations survive until Truncate.
+	// fresh segment, and both generations survive until Cut + Retire.
 	l2, rec := mustOpen(t, vfs, Sync)
 	if len(rec.Records) != 3 {
 		t.Fatalf("recovered %d records, want 3", len(rec.Records))
